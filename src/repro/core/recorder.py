@@ -130,7 +130,7 @@ class DoublePlayRecorder:
         syscall_log: List[SyscallRecord],
         signal_log: List,
         first_epoch_index: int,
-        preloaded: Optional[Dict[int, tuple]] = None,
+        preloaded: Optional[Dict[int, object]] = None,
     ):
         """Yield ``(position, EpochRunResult)`` for a segment, in order.
 
@@ -142,7 +142,7 @@ class DoublePlayRecorder:
         paths stop after the first failure; both produce identical result
         streams, because epoch execution is a deterministic function of
         the checkpoints and logs. ``preloaded`` carries the segment's
-        validated speculative results (parallel path only — speculation
+        validated speculative attempts (parallel path only — speculation
         requires an executor).
         """
         positions = len(checkpoints) - 1
@@ -444,20 +444,18 @@ class DoublePlayRecorder:
             # ----------------------------------------------------------
             # Epoch-parallel execution of the segment's epochs.
             # ----------------------------------------------------------
-            preloaded: Dict[int, tuple] = {}
+            preloaded = {}
             if session is not None:
-                for position, outcome in session.harvest().items():
-                    if self._speculation_valid(
-                        outcome[0],
+                preloaded = session.harvest(
+                    lambda position, result: self._speculation_valid(
+                        result,
                         spec_cuts[position],
                         segment_checkpoints[position + 1],
                         hints,
                         syscall_log,
                         signal_log,
-                    ):
-                        preloaded[position] = outcome
-                    else:
-                        executor.speculation["invalidated"] += 1
+                    )
+                )
             diverged_at: Optional[int] = None
             recovery = None
             attempt_duration = 0

@@ -53,6 +53,17 @@ then fall back to in-coordinator serial execution):
   the serial fallback and is re-raised there, exactly as the ``jobs=1``
   path would have raised it.
 
+**One unit lifecycle.** Every attempt at a unit — a fresh dispatch, a
+full-blob resend, or a speculative dispatch from the commit pipeline —
+is shipped by one helper (``HostExecutor._ship``) and settled by one
+function (:func:`_settle`) into one of five states: ok, need-blobs,
+task-error, crash, timeout. The unit then ends as accepted, retried,
+discarded (speculation never retries) or serial, and every result that
+stands is accepted through one ``HostExecutor._accept``, which is where
+wire stamping, observability ingest, the ``unit_wall_s``/``unit_bytes``
+histograms and ``unit_timings`` happen — so each committed unit is
+counted exactly once, whatever path it took.
+
 Because epoch execution is a deterministic function of the checkpoints
 and logs, and the serial fallback runs the identical pure function in
 the coordinator (through the units' ``_local`` shortcuts — the exact
@@ -82,7 +93,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import default_unit_timeout
 from repro.core.epoch_runner import EpochRunResult, run_epoch
@@ -234,10 +245,7 @@ def shared_pool(jobs: int) -> ProcessPoolExecutor:
     global _shared_pool, _shared_size
     with _pool_lock:
         if _shared_pool is not None and _pool_broken(_shared_pool):
-            _forget_pool(_shared_pool)
-            _shared_pool.shutdown(wait=True, cancel_futures=True)
-            _shared_pool = None
-            _shared_size = 0
+            invalidate_shared_pool()
         if _shared_pool is None or _shared_size < jobs:
             if _shared_pool is not None:
                 # Drain, don't yank: both running and queued units complete
@@ -279,12 +287,7 @@ def shutdown_shared_pool() -> None:
 # ----------------------------------------------------------------------
 @dataclass
 class UnitDispatch:
-    """One unit skeleton plus exactly the blobs being shipped with it.
-
-    ``_local_program`` (stripped at the pickle boundary) keeps the
-    coordinator's serial fallback zero-decode, together with the
-    ``_local`` shortcuts inside the unit itself.
-    """
+    """One unit skeleton plus exactly the blobs being shipped with it."""
 
     machine: object
     unit: object
@@ -294,15 +297,6 @@ class UnitDispatch:
     #: and ships them home on ``UnitTiming.spans`` (set from the
     #: coordinator's active tracer; workers have no tracer of their own)
     trace: bool = False
-    _local_program: object = field(default=None, repr=False)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_local_program"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     def required_digests(self) -> Set[int]:
         required = self.unit.required_digests()
@@ -395,90 +389,64 @@ def _absorb_dispatch(dispatch: UnitDispatch):
 
 
 # ----------------------------------------------------------------------
-# Worker-side task functions (must be module-level for pickling).
+# The one execution body (module-level for pickling).
 #
-# ``_record_unit`` / ``_replay_unit`` are the pure execution bodies the
-# coordinator's serial fallback calls directly: they rehydrate through
-# the units' ``_local`` shortcuts (the exact original objects — no
-# fault injection, no exception conversion, so a deterministic guest
-# error raises there with full context, matching the jobs=1 path).
-# ``_record_task`` / ``_replay_task`` are the worker entry points: they
-# apply injected faults, absorb the dispatch into the blob cache, and
-# convert any exception into a structured WorkerTaskError *result*, so
-# a bad unit can never break the pool.
+# ``_hydrate`` turns a unit into a ready-to-run epoch; it is the only
+# step that differs by unit kind (a record unit also hydrates its
+# boundary and its sync-hint suffix, a replay unit does not).
+# ``_unit_task`` is the worker entry point: it applies injected faults,
+# absorbs the dispatch into the blob cache, and converts any exception
+# into a structured WorkerTaskError *result*, so a bad unit can never
+# break the pool. ``_run_local`` is the coordinator's serial fallback:
+# it hydrates through the units' ``_local`` shortcuts (the exact
+# original objects — no fault injection, no exception conversion, so a
+# deterministic guest error raises there with full context, matching
+# the jobs=1 path).
 # ----------------------------------------------------------------------
-def _run_record_body(program, machine, unit, start, boundary, syscalls, signals, hints):
+def _hydrate(program, machine, unit, resolve) -> Callable[[], object]:
+    """Rebuild one unit's inputs; return the call that executes it.
+
+    ``resolve`` maps a digest to its decoded blob (worker side); None
+    rehydrates from the coordinator's ``_local`` objects instead.
+    """
+
+    def fetch(ref):
+        return ref._local if resolve is None else resolve(ref.digest)
+
+    start = unit.start.hydrate(resolve)
+    syscalls = fetch(unit.syscalls)
+    signals = fetch(unit.signals)
+    if unit.kind == "record":
+        boundary = unit.boundary.hydrate(resolve, base_pages=start.memory.pages)
+        hints = fetch(unit.sync_events)
+        return lambda: run_epoch(
+            program,
+            machine,
+            unit.epoch_index,
+            start,
+            boundary,
+            syscalls,
+            SyncOrderLog(hints[unit.sync_start :]),
+            unit.use_sync_hints,
+            signal_records=signals,
+        )
+    # Imported here, not at module top: repro.core.replayer is the only
+    # core module this one touches, and it imports us lazily in return.
+    from repro.core.replayer import replay_epoch_unit
+
+    return lambda: replay_epoch_unit(program, machine, unit, start, syscalls, signals)
+
+
+def _timed(run: Callable[[], object]) -> Tuple[object, float, float]:
+    """``(value, wall seconds, CPU seconds)`` of one epoch execution."""
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    result = run_epoch(
-        program,
-        machine,
-        unit.epoch_index,
-        start,
-        boundary,
-        syscalls,
-        SyncOrderLog(hints[unit.sync_start :]),
-        unit.use_sync_hints,
-        signal_records=signals,
-    )
-    return result, time.perf_counter() - wall0, time.process_time() - cpu0
+    value = run()
+    return value, time.perf_counter() - wall0, time.process_time() - cpu0
 
 
-def _serial_execute_span(kind: str, unit, wall: float) -> None:
-    """Record a coordinator-track execute span for a serial-fallback unit."""
-    tracer = obs_spans.current()
-    if tracer is None:
-        return
-    end = tracer.now()
-    tracer.add(
-        "execute",
-        obs_spans.CAT_EPOCH,
-        end - wall,
-        end,
-        args={
-            "epoch": unit.epoch_index,
-            "position": unit.position,
-            "kind": kind + "-serial",
-        },
-    )
-
-
-def _finish_worker_timing(timing: UnitTiming, spanlog, kind: str, unit, wall):
-    """Attach this task's spans and drained counters to its timing."""
-    if spanlog is not None:
-        end = time.perf_counter()
-        spanlog.add(
-            "execute",
-            obs_spans.CAT_EPOCH,
-            end - wall,
-            end,
-            epoch=unit.epoch_index,
-            position=unit.position,
-            kind=kind,
-        )
-        timing.spans = spanlog.export()
-    timing.metrics = tuple(sorted(obs_metrics.drain_process().items()))
-
-
-def _record_unit(dispatch: UnitDispatch) -> Tuple[int, EpochRunResult, UnitTiming]:
-    unit = dispatch.unit
-    result, wall, cpu = _run_record_body(
-        dispatch._local_program,
-        dispatch.machine,
-        unit,
-        unit.start.hydrate(None),
-        unit.boundary.hydrate(None),
-        unit.syscalls._local,
-        unit.signals._local,
-        unit.sync_events._local,
-    )
-    _serial_execute_span("record", unit, wall)
-    return unit.position, result, UnitTiming(
-        wall=wall, cpu=cpu, worker_pid=os.getpid()
-    )
-
-
-def _record_task(dispatch: UnitDispatch):
+def _unit_task(dispatch: UnitDispatch):
+    """Worker entry point: ``(position, value, UnitTiming)`` and never raises."""
     unit = dispatch.unit
     # A fresh registry per task: whatever an aborted or dropped previous
     # task accumulated must never ride home with this unit's counters.
@@ -490,8 +458,8 @@ def _record_task(dispatch: UnitDispatch):
         resolve, timing = _absorb_dispatch(dispatch)
         if resolve is None:
             return unit.position, timing, UnitTiming(worker_pid=os.getpid())
-        start = unit.start.hydrate(resolve)
-        boundary = unit.boundary.hydrate(resolve, base_pages=start.memory.pages)
+        program = _worker_program(dispatch.program_digest, resolve)
+        run = _hydrate(program, dispatch.machine, unit, resolve)
         if spanlog is not None:
             spanlog.add(
                 "wire-decode",
@@ -502,90 +470,45 @@ def _record_task(dispatch: UnitDispatch):
                 cache_hits=timing.blob_cache_hits,
                 cache_misses=timing.blob_cache_misses,
             )
-        result, wall, cpu = _run_record_body(
-            _worker_program(dispatch.program_digest, resolve),
-            dispatch.machine,
-            unit,
-            start,
-            boundary,
-            resolve(unit.syscalls.digest),
-            resolve(unit.signals.digest),
-            resolve(unit.sync_events.digest),
-        )
-        timing.wall = wall
-        timing.cpu = cpu
-        _finish_worker_timing(timing, spanlog, "record", unit, wall)
-        return unit.position, result, timing
-    except Exception as exc:
-        return unit.position, _as_task_error(exc, unit.position), UnitTiming(
-            worker_pid=os.getpid()
-        )
-
-
-def _run_replay_body(program, machine, unit, start, syscalls, signals):
-    # Imported here, not at module top: repro.core.replayer is the only
-    # core module this one touches, and it imports us lazily in return.
-    from repro.core.replayer import replay_epoch_unit
-
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
-    cycles, failure = replay_epoch_unit(program, machine, unit, start, syscalls, signals)
-    return (cycles, failure), time.perf_counter() - wall0, time.process_time() - cpu0
-
-
-def _replay_unit(dispatch: UnitDispatch):
-    unit = dispatch.unit
-    value, wall, cpu = _run_replay_body(
-        dispatch._local_program,
-        dispatch.machine,
-        unit,
-        unit.start.hydrate(None),
-        unit.syscalls._local,
-        unit.signals._local,
-    )
-    _serial_execute_span("replay", unit, wall)
-    return unit.position, value, UnitTiming(
-        wall=wall, cpu=cpu, worker_pid=os.getpid()
-    )
-
-
-def _replay_task(dispatch: UnitDispatch):
-    unit = dispatch.unit
-    obs_metrics.process_stats().clear()
-    spanlog = obs_spans.WorkerSpanLog() if dispatch.trace else None
-    try:
-        fault_injection.inject(unit.faults)
-        decode_start = time.perf_counter()
-        resolve, timing = _absorb_dispatch(dispatch)
-        if resolve is None:
-            return unit.position, timing, UnitTiming(worker_pid=os.getpid())
-        start = unit.start.hydrate(resolve)
+        value, timing.wall, timing.cpu = _timed(run)
         if spanlog is not None:
+            end = time.perf_counter()
             spanlog.add(
-                "wire-decode",
-                obs_spans.CAT_WIRE,
-                decode_start,
-                time.perf_counter(),
+                "execute",
+                obs_spans.CAT_EPOCH,
+                end - timing.wall,
+                end,
+                epoch=unit.epoch_index,
                 position=unit.position,
-                cache_hits=timing.blob_cache_hits,
-                cache_misses=timing.blob_cache_misses,
+                kind=unit.kind,
             )
-        value, wall, cpu = _run_replay_body(
-            _worker_program(dispatch.program_digest, resolve),
-            dispatch.machine,
-            unit,
-            start,
-            resolve(unit.syscalls.digest),
-            resolve(unit.signals.digest),
-        )
-        timing.wall = wall
-        timing.cpu = cpu
-        _finish_worker_timing(timing, spanlog, "replay", unit, wall)
+            timing.spans = spanlog.export()
+        timing.metrics = tuple(sorted(obs_metrics.drain_process().items()))
         return unit.position, value, timing
     except Exception as exc:
         return unit.position, _as_task_error(exc, unit.position), UnitTiming(
             worker_pid=os.getpid()
         )
+
+
+def _run_local(program, machine, unit) -> Tuple[object, UnitTiming]:
+    """Execute one unit in the coordinator (the serial fallback)."""
+    value, wall, cpu = _timed(_hydrate(program, machine, unit, None))
+    tracer = obs_spans.current()
+    if tracer is not None:
+        end = tracer.now()
+        tracer.add(
+            "execute",
+            obs_spans.CAT_EPOCH,
+            end - wall,
+            end,
+            args={
+                "epoch": unit.epoch_index,
+                "position": unit.position,
+                "kind": unit.kind + "-serial",
+            },
+        )
+    return value, UnitTiming(wall=wall, cpu=cpu, worker_pid=os.getpid())
 
 
 def _as_task_error(exc: BaseException, position: int) -> WorkerTaskError:
@@ -597,10 +520,25 @@ def _as_task_error(exc: BaseException, position: int) -> WorkerTaskError:
     )
 
 
+# ----------------------------------------------------------------------
+# The unit lifecycle, coordinator side.
+# ----------------------------------------------------------------------
+#: attempt states: ``submitted`` until :func:`_settle` resolves it to
+#: one of the next five; ``serial`` marks the coordinator's own run.
+#: The three failure states are the ``kind`` of the HostPoolError a
+#: failed attempt carries.
+SUBMITTED = "submitted"
+OK = "ok"
+NEED_BLOBS = "need-blobs"
+TASK_ERROR = "task-error"
+CRASH = "crash"
+TIMEOUT = "timeout"
+SERIAL = "serial"
+
 _COUNTER_BY_KIND = {
-    "crash": "crashes",
-    "timeout": "timeouts",
-    "task-error": "task_errors",
+    CRASH: "crashes",
+    TIMEOUT: "timeouts",
+    TASK_ERROR: "task_errors",
 }
 
 
@@ -614,10 +552,10 @@ class _Batch:
     units: List[object]
     #: every blob any unit references, keyed by digest
     blobs: Dict[int, bytes]
-    #: per-position wire accounting, accumulated across re-dispatches
+    #: per-unit wire accounting, accumulated across re-dispatches
     bytes_shipped: List[int] = field(default_factory=list)
     blobs_sent: List[int] = field(default_factory=list)
-    #: per-position digest set of the most recent dispatch's blobs
+    #: per-unit digest set of the most recent dispatch's blobs
     last_shipped: List[Set[int]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -626,44 +564,152 @@ class _Batch:
         self.blobs_sent = [0] * n
         self.last_shipped = [set() for _ in range(n)]
 
+    def add(self, unit) -> int:
+        """Append one unit (speculative batches grow); returns its index."""
+        self.units.append(unit)
+        self.bytes_shipped.append(0)
+        self.blobs_sent.append(0)
+        self.last_shipped.append(set())
+        return len(self.units) - 1
+
+
+@dataclass
+class _Attempt:
+    """One attempt at one unit: a submitted dispatch and how it ended.
+
+    ``index`` locates the unit in ``batch`` (a speculative batch indexes
+    by push order, a full batch by segment position).
+    """
+
+    batch: _Batch
+    index: int
+    future: object = None
+    state: str = SUBMITTED
+    #: the unit's result (ok/serial), the worker's NeedBlobs answer, or
+    #: the structured HostPoolError a failed attempt is contained as
+    value: object = None
+    timing: Optional[UnitTiming] = None
+
+    @property
+    def position(self) -> int:
+        return self.batch.units[self.index].position
+
+
+def _apply_ack(pid: int, shipped: Set[int], evicted) -> None:
+    """Fold a worker's response into the coordinator's cache mirror."""
+    if not pid:
+        return
+    _cache_tracker.note_inserted(pid, shipped)
+    _cache_tracker.note_evicted(pid, evicted)
+
+
+def _settle(attempt: _Attempt, timeout) -> _Attempt:
+    """Resolve a submitted attempt into one of the five end states.
+
+    Applies the cache-mirror ack for ``ok`` and ``need-blobs`` (the
+    worker really did absorb the blobs either way). A missing future —
+    the submission failed or the pool broke first — counts as a crash.
+    Idempotent, so a non-blocking sweep and a final wait compose.
+    """
+    if attempt.state != SUBMITTED:
+        return attempt
+    future, position = attempt.future, attempt.position
+    if future is None:
+        return _fail(attempt, WorkerCrashError(
+            f"worker pool broke before unit {position} could be submitted",
+            position=position,
+        ))
+    try:
+        _, value, timing = future.result(timeout=timeout)
+    except FutureTimeout:
+        future.cancel()
+        return _fail(attempt, WorkerTimeoutError(
+            f"unit {position} exceeded the {timeout:g}s unit timeout",
+            position=position,
+            timeout=timeout,
+        ))
+    except Exception as exc:
+        return _fail(attempt, WorkerCrashError(
+            f"worker died running unit {position}: {exc!r}", position=position
+        ))
+    attempt.value, attempt.timing = value, timing
+    shipped = attempt.batch.last_shipped[attempt.index]
+    if isinstance(value, NeedBlobs):
+        attempt.state = NEED_BLOBS
+        _apply_ack(value.worker_pid, shipped, set(value.evicted) | set(value.missing))
+    elif isinstance(value, WorkerTaskError):
+        attempt.state = TASK_ERROR
+    else:
+        attempt.state = OK
+        _apply_ack(timing.worker_pid, shipped, timing.evicted)
+    return attempt
+
+
+def _fail(attempt: _Attempt, failure: HostPoolError) -> _Attempt:
+    """End an attempt as the failure state named by ``failure.kind``."""
+    attempt.state, attempt.value = failure.kind, failure
+    return attempt
+
+
+def _salvage(futures: Dict[int, object]) -> None:
+    """Keep a broken batch's completed results; drop everything else."""
+    for position, future in list(futures.items()):
+        if not future.done() or future.cancelled() or future.exception(timeout=0):
+            del futures[position]
+
+
+def _ingest_observability(timing: UnitTiming) -> None:
+    """Fold a worker unit's piggybacked counters/spans into this process."""
+    if timing.metrics:
+        obs_metrics.process_stats().update_from(dict(timing.metrics))
+    if timing.spans:
+        tracer = obs_spans.current()
+        if tracer is not None:
+            tracer.ingest(
+                timing.spans,
+                track=timing.worker_pid,
+                annotate={
+                    "bytes_shipped": timing.bytes_shipped,
+                    "blobs_sent": timing.blobs_sent,
+                },
+            )
+
 
 class _DirectDispatcher:
-    """The default submission path: the executor's own (shared/private) pool.
+    """The default submission path: the coordinator-wide shared pool.
 
     This is the seam the service layer replaces: a dispatcher owns *where*
     a built dispatch goes (``submit``), which workers it may assume hold
     cached blobs (``pids``), and what abandoning a suspect pool means
-    (``abandon``). The direct dispatcher preserves the pre-service
-    behavior exactly — every call is a pass-through to the executor's
-    pool — while a fleet dispatcher (``repro.service``) routes the same
-    calls through per-session queues into one multiplexed pool.
+    (``abandon``). The direct dispatcher is a pass-through to
+    :func:`shared_pool`, while a fleet dispatcher (``repro.service``)
+    routes the same calls through per-session queues into one
+    multiplexed pool.
     """
 
-    def __init__(self, executor: "HostExecutor"):
-        self._executor = executor
+    def __init__(self, jobs: int):
+        self._jobs = jobs
 
     def warm(self) -> None:
         """Bring the pool up (speculative sessions warm off-thread)."""
-        self._executor._pool()
+        shared_pool(self._jobs)
 
     def pids(self) -> List[int]:
-        return _pool_pids(self._executor._pool())
+        return _pool_pids(shared_pool(self._jobs))
 
     def submit(self, fn, dispatch: UnitDispatch):
-        return self._executor._pool().submit(fn, dispatch)
+        return shared_pool(self._jobs).submit(fn, dispatch)
 
     def abandon(self, kill: bool) -> None:
-        self._executor._abandon_pool(kill)
+        invalidate_shared_pool(kill)
 
 
 class HostExecutor:
     """Runs epoch work units on a pool of worker processes.
 
-    ``private=True`` gives the executor its own pool sized exactly
-    ``jobs`` (benchmarks measure specific worker counts); the default
-    shares the coordinator-wide pool. ``unit_timeout`` is the per-unit
-    wall-clock budget in seconds (None = the ``REPRO_UNIT_TIMEOUT`` env
-    default of 60; 0 disables hang detection).
+    ``unit_timeout`` is the per-unit wall-clock budget in seconds (None =
+    the ``REPRO_UNIT_TIMEOUT`` env default of 60; 0 disables hang
+    detection).
 
     ``dispatcher`` overrides the submission path (see
     :class:`_DirectDispatcher`); the service layer injects a per-session
@@ -677,7 +723,6 @@ class HostExecutor:
     def __init__(
         self,
         jobs: int,
-        private: bool = False,
         unit_timeout=None,
         dispatcher=None,
         fault_specs=None,
@@ -688,8 +733,6 @@ class HostExecutor:
             if unit_timeout is None
             else max(0.0, float(unit_timeout))
         )
-        self._private = bool(private)
-        self._private_pool = _new_pool(self.jobs) if private else None
         if fault_specs is None:
             self._fault_specs = fault_injection.active_faults()
         elif isinstance(fault_specs, str):
@@ -698,16 +741,18 @@ class HostExecutor:
             )
         else:
             self._fault_specs = tuple(fault_specs)
-        self._dispatch_path = dispatcher if dispatcher is not None else _DirectDispatcher(self)
+        self._dispatch_path = (
+            dispatcher if dispatcher is not None else _DirectDispatcher(self.jobs)
+        )
         #: optional dispatcher hook observing each dispatch's shipped and
         #: cache-omitted blob bytes (the fleet's cross-session dedup
         #: accounting); None (the direct default) costs nothing.
         self._wire_observer = getattr(self._dispatch_path, "note_dispatch", None)
         #: (program object, digest, blob) of the last program shipped
         self._program_blob: Optional[Tuple[object, int, bytes]] = None
-        #: per-unit worker timings, in merge order: (kind, position,
-        #: UnitTiming). Serial-fallback units record coordinator timings
-        #: under "<kind>-serial".
+        #: per-unit timings of every accepted unit, in merge order:
+        #: (kind, position, UnitTiming). Serial-fallback units record
+        #: coordinator timings under "<kind>-serial".
         self.unit_timings: List[Tuple[str, int, UnitTiming]] = []
         #: coordinator seconds spent building + submitting dispatches
         self.dispatch_wall = 0.0
@@ -738,35 +783,6 @@ class HostExecutor:
             ("dispatched", "accepted", "invalidated", "discarded"), 0
         )
 
-    def _pool(self) -> ProcessPoolExecutor:
-        if not self._private:
-            return shared_pool(self.jobs)
-        if self._private_pool is None or _pool_broken(self._private_pool):
-            if self._private_pool is not None:
-                _forget_pool(self._private_pool)
-                self._private_pool.shutdown(wait=True, cancel_futures=True)
-            self._private_pool = _new_pool(self.jobs)
-        return self._private_pool
-
-    def _abandon_pool(self, kill: bool) -> None:
-        """After a crash/timeout: drop the current pool; ``_pool()`` rebuilds."""
-        if self._private:
-            pool, self._private_pool = self._private_pool, None
-            if pool is not None:
-                _forget_pool(pool)
-                if kill:
-                    _kill_workers(pool)
-                else:
-                    pool.shutdown(wait=True, cancel_futures=True)
-        else:
-            invalidate_shared_pool(kill=kill)
-
-    def close(self) -> None:
-        if self._private_pool is not None:
-            _forget_pool(self._private_pool)
-            self._private_pool.shutdown(wait=True, cancel_futures=True)
-            self._private_pool = None
-
     # ------------------------------------------------------------------
     def _program_wire(self, program) -> Tuple[int, bytes]:
         """The program image's blob, encoded once per program object."""
@@ -777,12 +793,15 @@ class HostExecutor:
             cached = self._program_blob
         return cached[1], cached[2]
 
-    def _begin_batch(self, kind: str, program, machine, batch: UnitBatch) -> _Batch:
+    def _stamp_faults(self, unit) -> None:
+        unit.faults = fault_injection.faults_for(
+            self._fault_specs, unit.kind, unit.position
+        )
+
+    def _begin_batch(self, program, machine, batch: UnitBatch) -> _Batch:
         """Stamp fault specs onto the units and set up wire accounting."""
         for unit in batch.units:
-            unit.faults = fault_injection.faults_for(
-                self._fault_specs, kind, unit.position
-            )
+            self._stamp_faults(unit)
         digest, blob = self._program_wire(program)
         blobs = dict(batch.blobs)
         blobs[digest] = blob
@@ -821,48 +840,81 @@ class HostExecutor:
             program_digest=batch.program_digest,
             blobs=blobs,
             trace=obs_spans.enabled(),
-            _local_program=batch.program,
         )
 
-    def _local_dispatch(self, batch: _Batch, position: int) -> UnitDispatch:
-        """A blob-free dispatch for the in-coordinator serial fallback."""
-        return UnitDispatch(
-            machine=batch.machine,
-            unit=batch.units[position],
-            program_digest=batch.program_digest,
-            _local_program=batch.program,
-        )
+    def _ship(self, batch: _Batch, index: int, full: bool = False, **span_args):
+        """Build, submit and time one dispatch; None if submission failed.
 
-    def _apply_ack(self, pid: int, shipped: Set[int], evicted) -> None:
-        """Fold a worker's response into the coordinator's cache mirror."""
-        if not pid:
-            return
-        _cache_tracker.note_inserted(pid, shipped)
-        _cache_tracker.note_evicted(pid, evicted)
-
-    def _ingest_observability(self, timing: UnitTiming) -> None:
-        """Fold a merged unit's piggybacked counters/spans into this process.
-
-        Called only for results that actually merge — dropped results
-        (cancelled divergence tails, crashed attempts) drop their
-        counters with them, which is what keeps ``jobs=1`` and
-        ``jobs=N`` metrics identical.
+        The one ship path: a normal dispatch omits blobs every live
+        worker holds, ``full=True`` (the answer to a NeedBlobs) ships the
+        unit's whole blob set. The coordinator's dispatch wall/CPU and
+        one ``dispatch`` (or ``blob-resend``) span account for it.
         """
-        if timing.metrics:
-            obs_metrics.process_stats().update_from(dict(timing.metrics))
-        if timing.spans:
-            tracer = obs_spans.current()
-            if tracer is not None:
-                tracer.ingest(
-                    timing.spans,
-                    track=timing.worker_pid,
-                    annotate={
-                        "bytes_shipped": timing.bytes_shipped,
-                        "blobs_sent": timing.blobs_sent,
-                    },
-                )
+        t0 = time.perf_counter()
+        c0 = time.thread_time()
+        tracer = obs_spans.current()
+        span_start = tracer.now() if tracer else 0.0
+        bytes_before = batch.bytes_shipped[index]
+        try:
+            dispatcher = self._dispatch_path
+            pids = () if full else dispatcher.pids()
+            future = dispatcher.submit(
+                _unit_task, self._make_dispatch(batch, index, pids=pids, full=full)
+            )
+        except Exception:
+            return None
+        finally:
+            self.dispatch_wall += time.perf_counter() - t0
+            self.dispatch_cpu += time.thread_time() - c0
+        if tracer is not None:
+            tracer.add(
+                "blob-resend" if full else "dispatch",
+                obs_spans.CAT_WIRE,
+                span_start,
+                tracer.now(),
+                args={
+                    "position": batch.units[index].position,
+                    "bytes": batch.bytes_shipped[index] - bytes_before,
+                    **span_args,
+                },
+            )
+        return future
 
-    def _note_fault(self, failure: HostPoolError) -> None:
+    def _fill_window(self, batch: _Batch, futures, start: int, skip) -> None:
+        """Keep the submission window full of live futures from ``start``.
+
+        Dispatches are built lazily, at most ~2 per worker ahead of the
+        merge head (the head position itself is always submitted): blobs
+        are encoded and shipped only for units that will actually run, so
+        a divergence exit wastes no dispatch work on cancelled tails. If
+        the pool breaks mid-submission (a just-submitted unit crashed
+        already), the loop stops quietly: the head attempt carries the
+        breakage, and settling it attributes the failure and rebuilds.
+        """
+        window = max(2 * self.jobs, 2)
+        live = sum(1 for f in futures.values() if not f.done())
+        for position in range(start, len(batch.units)):
+            if position in futures or position in skip:
+                continue
+            if position > start and live >= window:
+                break
+            future = self._ship(batch, position)
+            if future is None:
+                return
+            futures[position] = future
+            live += 1
+
+    def _contain(self, attempt: _Attempt, tries: List[int], futures):
+        """Contain one failed attempt: retry it (None) or run it serially.
+
+        The failure is counted as a host fault. Crash and timeout make
+        the pool itself suspect: finished results are salvaged and the
+        pool is rebuilt on the next submit (a timeout kills the hung
+        workers first). A unit that has used its pool attempts runs in
+        the coordinator instead.
+        """
+        failure, position = attempt.value, attempt.index
+        failure.attempt = tries[position]
         self.counters[_COUNTER_BY_KIND[failure.kind]] += 1
         self.fault_events.append(
             {
@@ -876,257 +928,113 @@ class HostExecutor:
             "fault-contained", fault=failure.kind,
             position=failure.position, attempt=failure.attempt,
         )
+        if attempt.state in (CRASH, TIMEOUT):
+            _salvage(futures)
+            self._dispatch_path.abandon(kill=attempt.state == TIMEOUT)
+        tries[position] += 1
+        if tries[position] < _POOL_ATTEMPTS:
+            self.counters["retries"] += 1
+            obs_events.emit("fault-retry", position=position)
+            return None
+        self.counters["serial_fallbacks"] += 1
+        obs_events.emit("serial-fallback", position=position)
+        batch = attempt.batch
+        value, timing = _run_local(batch.program, batch.machine, batch.units[position])
+        return _Attempt(batch, position, state=SERIAL, value=value, timing=timing)
 
-    def _submit_missing(self, task_fn, batch, futures, done, start, skip=None) -> None:
-        """Keep the submission window full of live futures from ``start``.
+    def _accept(self, attempt: _Attempt, stop_on, futures) -> bool:
+        """Commit one unit's result to the run; True ends the batch here.
 
-        Dispatches are built lazily, at most ~2 per worker ahead of the
-        merge head (the head position itself is always submitted): blobs
-        are encoded and shipped only for units that will actually run, so
-        a divergence exit wastes no dispatch work on cancelled tails. If
-        the pool breaks mid-submission (a just-submitted unit crashed
-        already), the loop stops quietly: the head future carries the
-        breakage, and waiting on it attributes the failure and rebuilds.
+        The one acceptance path, for fresh, speculative and serial units
+        alike, called at consume time in merge order — so a divergence at
+        an earlier position drops a later result exactly as it would have
+        cancelled its dispatch (``jobs=1`` metric parity). Worker results
+        bring their counters and spans home here; a serial unit already
+        counted in this process. ``stop_on(value)`` truthy cancels
+        everything still pending (the record path's divergence exit).
         """
-        t0 = time.perf_counter()
-        c0 = time.thread_time()
-        tracer = obs_spans.current()
-        try:
-            dispatcher = self._dispatch_path
-            pids = dispatcher.pids()
-            window = max(2 * self.jobs, 2)
-            live = sum(1 for f in futures.values() if not f.done())
-            for position in range(start, len(batch.units)):
-                if position in done or position in futures:
-                    continue
-                if skip and position in skip:
-                    continue
-                if position > start and live >= window:
-                    break
-                span_start = tracer.now() if tracer else 0.0
-                bytes_before = batch.bytes_shipped[position]
-                futures[position] = dispatcher.submit(
-                    task_fn, self._make_dispatch(batch, position, pids=pids)
-                )
-                if tracer is not None:
-                    tracer.add(
-                        "dispatch",
-                        obs_spans.CAT_WIRE,
-                        span_start,
-                        tracer.now(),
-                        args={
-                            "position": position,
-                            "bytes": batch.bytes_shipped[position] - bytes_before,
-                        },
-                    )
-                live += 1
-        except Exception:
-            pass
-        finally:
-            self.dispatch_wall += time.perf_counter() - t0
-            self.dispatch_cpu += time.thread_time() - c0
-
-    def _resend_with_blobs(self, task_fn, batch, futures, position) -> bool:
-        """Re-dispatch one unit with its full blob set after a NeedBlobs."""
-        t0 = time.perf_counter()
-        c0 = time.thread_time()
-        tracer = obs_spans.current()
-        span_start = tracer.now() if tracer else 0.0
-        bytes_before = batch.bytes_shipped[position]
-        try:
-            futures[position] = self._dispatch_path.submit(
-                task_fn, self._make_dispatch(batch, position, full=True)
-            )
-            if tracer is not None:
-                tracer.add(
-                    "blob-resend",
-                    obs_spans.CAT_WIRE,
-                    span_start,
-                    tracer.now(),
-                    args={
-                        "position": position,
-                        "bytes": batch.bytes_shipped[position] - bytes_before,
-                    },
-                )
-            return True
-        except Exception:
+        batch, index, timing = attempt.batch, attempt.index, attempt.timing
+        timing.bytes_shipped = batch.bytes_shipped[index]
+        timing.blobs_sent = batch.blobs_sent[index]
+        kind = batch.units[index].kind
+        if attempt.state == SERIAL:
+            kind += "-serial"
+        else:
+            _ingest_observability(timing)
+        self.unit_timings.append((kind, attempt.position, timing))
+        obs_histo.observe("unit_wall_s", timing.wall)
+        obs_histo.observe("unit_bytes", timing.bytes_shipped)
+        if stop_on is None or not stop_on(attempt.value):
             return False
-        finally:
-            self.dispatch_wall += time.perf_counter() - t0
-            self.dispatch_cpu += time.thread_time() - c0
-
-    @staticmethod
-    def _harvest(futures, done) -> None:
-        """Salvage completed results out of a broken batch, drop the rest."""
-        for position, future in list(futures.items()):
-            if future.done() and not future.cancelled():
-                try:
-                    if future.exception(timeout=0) is None:
-                        done[position] = future.result(timeout=0)
-                except Exception:
-                    pass
-        futures.clear()
+        for pending in futures.values():
+            pending.cancel()
+        return True
 
     def _run_units(
-        self, kind: str, task_fn, unit_fn, batch: _Batch, stop_on=None,
-        preloaded: Optional[Dict[int, tuple]] = None,
+        self, batch: _Batch, stop_on=None,
+        preloaded: Optional[Dict[int, _Attempt]] = None,
     ) -> Iterator[Tuple[int, object]]:
         """Yield ``(position, value)`` in position order with containment.
 
-        Per-unit policy: run in the pool; a NeedBlobs answer re-dispatches
-        the unit with its full blob set (bounded, never counted as a
-        fault); on crash/timeout/task-error, retry once (crash and
-        timeout also rebuild the pool); on a second failure, execute the
-        unit serially in the coordinator via ``unit_fn``. ``stop_on(value)``
-        truthy cancels everything still pending and ends the batch (the
-        record path's divergence exit).
+        Each unit runs through one lifecycle. An attempt is submitted and
+        settles as ok, need-blobs, task-error, crash or timeout
+        (:func:`_settle`). NeedBlobs re-ships the unit with its full blob
+        set (bounded, never a fault); any other failure is contained
+        (:meth:`_contain`: retry once, then serial). Whatever result
+        stands is accepted through :meth:`_accept`.
 
-        ``preloaded`` maps positions to validated ``(value, timing)``
-        outcomes already produced by the speculative pipeline; those
-        positions are never dispatched. Their observability ingest and
-        timing records happen here, at consume time in merge order, so a
-        divergence at an earlier position drops them exactly as it would
-        have cancelled a dispatch — ``jobs=1`` metric parity.
+        ``preloaded`` maps positions to ok speculative attempts (see
+        :class:`SpeculativeSession`); those positions are never
+        dispatched, only accepted.
         """
         n = len(batch.units)
-        done: Dict[int, tuple] = {}
+        preloaded = preloaded if preloaded is not None else {}
         futures: Dict[int, object] = {}
-        attempts = [0] * n
+        tries = [0] * n
         resends = [0] * n
-        next_pos = 0
+        position = 0
         try:
-            while next_pos < n:
-                if preloaded and next_pos in preloaded:
-                    value, timing = preloaded.pop(next_pos)
+            while position < n:
+                attempt = preloaded.pop(position, None)
+                if attempt is not None:
                     self.speculation["accepted"] += 1
-                    self._ingest_observability(timing)
-                    self.unit_timings.append((kind, next_pos, timing))
-                    if stop_on is not None and stop_on(value):
-                        for pending in futures.values():
-                            pending.cancel()
-                        yield next_pos, value
-                        return
-                    yield next_pos, value
-                    next_pos += 1
-                    continue
-                failure = None
-                outcome = done.pop(next_pos, None)
-                if outcome is None:
-                    self._submit_missing(
-                        task_fn, batch, futures, done, next_pos, skip=preloaded
+                else:
+                    self._fill_window(batch, futures, position, preloaded)
+                    attempt = _settle(
+                        _Attempt(batch, position, futures.pop(position, None)),
+                        self.unit_timeout or None,
                     )
-                    future = futures.pop(next_pos, None)
-                    if future is None:
-                        failure = WorkerCrashError(
-                            f"worker pool broke before unit {next_pos} could "
-                            f"be submitted",
-                            position=next_pos,
-                            attempt=attempts[next_pos],
-                        )
-                    else:
-                        try:
-                            outcome = future.result(
-                                timeout=self.unit_timeout or None
-                            )
-                        except FutureTimeout:
-                            future.cancel()
-                            failure = WorkerTimeoutError(
-                                f"unit {next_pos} exceeded the "
-                                f"{self.unit_timeout:g}s unit timeout",
-                                position=next_pos,
-                                attempt=attempts[next_pos],
-                                timeout=self.unit_timeout,
-                            )
-                        except Exception as exc:
-                            failure = WorkerCrashError(
-                                f"worker died running unit {next_pos}: {exc!r}",
-                                position=next_pos,
-                                attempt=attempts[next_pos],
-                            )
-                if outcome is not None:
-                    _, value, timing = outcome
-                    if isinstance(value, NeedBlobs):
+                    if attempt.state == NEED_BLOBS:
                         # Benign cache miss, not a fault: the worker could
                         # not resolve every digest (eviction raced the
                         # dispatch, or a fresh pool lost its caches).
                         # Answer with the full blob set and wait again.
-                        self._apply_ack(
-                            value.worker_pid,
-                            batch.last_shipped[next_pos],
-                            set(value.evicted) | set(value.missing),
-                        )
                         self.blob_resends += 1
-                        resends[next_pos] += 1
+                        resends[position] += 1
                         obs_events.emit(
-                            "blob-resend", position=next_pos,
-                            missing=len(value.missing),
+                            "blob-resend", position=position,
+                            missing=len(attempt.value.missing),
                         )
-                        if resends[next_pos] <= _BLOB_RESEND_LIMIT:
-                            self._resend_with_blobs(
-                                task_fn, batch, futures, next_pos
-                            )
+                        if resends[position] <= _BLOB_RESEND_LIMIT:
+                            future = self._ship(batch, position, full=True)
+                            if future is not None:
+                                futures[position] = future
                             continue
-                        failure = WorkerTaskError(
-                            f"unit {next_pos} still missing "
-                            f"{len(value.missing)} blob(s) after a "
+                        _fail(attempt, WorkerTaskError(
+                            f"unit {position} still missing "
+                            f"{len(attempt.value.missing)} blob(s) after a "
                             f"full re-dispatch",
-                            position=next_pos,
-                        )
-                        failure.attempt = attempts[next_pos]
-                    elif isinstance(value, WorkerTaskError):
-                        value.attempt = attempts[next_pos]
-                        failure = value
-                    else:
-                        self._apply_ack(
-                            timing.worker_pid,
-                            batch.last_shipped[next_pos],
-                            timing.evicted,
-                        )
-                        timing.bytes_shipped = batch.bytes_shipped[next_pos]
-                        timing.blobs_sent = batch.blobs_sent[next_pos]
-                        self._ingest_observability(timing)
-                        self.unit_timings.append((kind, next_pos, timing))
-                        # Coordinator-side, merged results only: dropped
-                        # speculation/divergence tails never observe.
-                        obs_histo.observe("unit_wall_s", timing.wall)
-                        obs_histo.observe("unit_bytes", timing.bytes_shipped)
-                        if stop_on is not None and stop_on(value):
-                            for pending in futures.values():
-                                pending.cancel()
-                            yield next_pos, value
-                            return
-                        yield next_pos, value
-                        next_pos += 1
-                        continue
-                # ------------------------------------------------------
-                # Containment: the unit failed in the pool.
-                # ------------------------------------------------------
-                self._note_fault(failure)
-                if not isinstance(failure, WorkerTaskError):
-                    # Crash/hang: the pool itself is suspect — salvage
-                    # finished results, then rebuild on the next submit.
-                    self._harvest(futures, done)
-                    self._dispatch_path.abandon(
-                        kill=isinstance(failure, WorkerTimeoutError)
-                    )
-                attempts[next_pos] += 1
-                if attempts[next_pos] < _POOL_ATTEMPTS:
-                    self.counters["retries"] += 1
-                    obs_events.emit("fault-retry", position=next_pos)
-                    continue
-                self.counters["serial_fallbacks"] += 1
-                obs_events.emit("serial-fallback", position=next_pos)
-                _, value, timing = unit_fn(self._local_dispatch(batch, next_pos))
-                timing.bytes_shipped = batch.bytes_shipped[next_pos]
-                timing.blobs_sent = batch.blobs_sent[next_pos]
-                self.unit_timings.append((kind + "-serial", next_pos, timing))
-                if stop_on is not None and stop_on(value):
-                    for pending in futures.values():
-                        pending.cancel()
-                    yield next_pos, value
+                            position=position,
+                        ))
+                    if attempt.state != OK:
+                        attempt = self._contain(attempt, tries, futures)
+                        if attempt is None:
+                            continue
+                stop = self._accept(attempt, stop_on, futures)
+                yield position, attempt.value
+                if stop:
                     return
-                yield next_pos, value
-                next_pos += 1
+                position += 1
         finally:
             for pending in futures.values():
                 pending.cancel()
@@ -1134,7 +1042,7 @@ class HostExecutor:
     # ------------------------------------------------------------------
     def run_record_units(
         self, program, machine, batch: UnitBatch,
-        preloaded: Optional[Dict[int, tuple]] = None,
+        preloaded: Optional[Dict[int, _Attempt]] = None,
     ) -> Iterator[Tuple[int, EpochRunResult]]:
         """Yield ``(position, result)`` in position order.
 
@@ -1142,18 +1050,13 @@ class HostExecutor:
         units — exactly the serial loop's early exit. Worker crashes,
         hangs, and exceptions are contained per unit (retry once, then
         serial fallback), so the stream always completes and is always
-        bit-identical to the serial path. ``preloaded`` carries validated
-        speculative outcomes (see :class:`SpeculativeSession`) consumed
-        in place of a dispatch.
+        bit-identical to the serial path. ``preloaded`` carries the
+        speculative attempts :meth:`SpeculativeSession.harvest` accepted,
+        consumed in place of a dispatch.
         """
-        state = self._begin_batch("record", program, machine, batch)
+        state = self._begin_batch(program, machine, batch)
         yield from self._run_units(
-            "record",
-            _record_task,
-            _record_unit,
-            state,
-            stop_on=lambda result: not result.ok,
-            preloaded=preloaded,
+            state, stop_on=lambda result: not result.ok, preloaded=preloaded
         )
 
     def speculative_session(self, program, machine) -> "SpeculativeSession":
@@ -1164,14 +1067,11 @@ class HostExecutor:
         self, program, machine, batch: UnitBatch
     ) -> List[Tuple[int, int, object]]:
         """All ``(position, cycles, failure)`` results, in position order."""
-        state = self._begin_batch("replay", program, machine, batch)
-        outcomes = []
-        for position, value in self._run_units(
-            "replay", _replay_task, _replay_unit, state
-        ):
-            cycles, failure = value
-            outcomes.append((position, cycles, failure))
-        return outcomes
+        state = self._begin_batch(program, machine, batch)
+        return [
+            (position, cycles, failure)
+            for position, (cycles, failure) in self._run_units(state)
+        ]
 
     # ------------------------------------------------------------------
     def timing_summary(self) -> dict:
@@ -1200,23 +1100,25 @@ class HostExecutor:
 
 
 class SpeculativeSession:
-    """One segment's speculative record-unit dispatches (commit pipeline).
+    """One segment's speculative record-unit attempts (commit pipeline).
 
     The recorder creates a session per segment when the two-deep commit
-    pipeline is on. :meth:`push` ships one epoch unit to the pool *while
-    the thread-parallel run is still producing later epochs* — strictly
-    non-blocking, so a broken pool or full queue costs nothing but the
-    speculation. :meth:`harvest` collects results at segment end.
+    pipeline is on. It runs the executor's unit lifecycle with one
+    difference — submit early, no containment. :meth:`push` ships one
+    epoch unit to the pool *while the thread-parallel run is still
+    producing later epochs* — strictly non-blocking, so a broken pool or
+    full queue costs nothing but the speculation. :meth:`harvest`
+    settles every attempt at segment end.
 
-    The session never retries, never counts faults, and never kills a
-    pool: a speculative attempt that crashes, hangs, misses blobs, or
-    raises is simply discarded, and the position runs again through the
-    full-knowledge batch with the pool's normal containment. Cache-mirror
-    acks are applied at harvest (the worker really did absorb the
-    blobs), but observability ingest and timing records are deferred to
-    the merge — a discarded or never-consumed result leaves no trace in
-    the run metrics, which is what keeps ``jobs=1`` and ``jobs=N``
-    metrics identical.
+    A speculative attempt that does not settle ok (crash, timeout,
+    NeedBlobs, task error, failed submission) is simply discarded: no
+    retry, no fault count, no pool kill — the position runs again
+    through the full-knowledge batch with the pool's normal containment.
+    Cache-mirror acks are applied when an attempt settles (the worker
+    really did absorb the blobs); acceptance — observability ingest,
+    histograms, timing records — waits for the merge, so a discarded or
+    never-consumed result leaves no trace in the run metrics, which is
+    what keeps ``jobs=1`` and ``jobs=N`` metrics identical.
     """
 
     def __init__(self, executor: HostExecutor, program, machine):
@@ -1229,11 +1131,10 @@ class SpeculativeSession:
             units=[],
             blobs={digest: blob},
         )
-
-        #: segment position -> {"future": Future|None, "index": int}
-        self._entries: Dict[int, Dict[str, object]] = {}
-        #: indices pushed before the pool was up, awaiting submission
-        self._deferred: List[int] = []
+        #: segment position -> its one speculative attempt
+        self._attempts: Dict[int, _Attempt] = {}
+        #: attempts pushed before the pool was up, awaiting submission
+        self._deferred: List[_Attempt] = []
         #: set by the warm-up thread; read (GIL-atomic) by push/harvest
         self._ready = False
         self._warm = threading.Thread(target=self._warm_pool, daemon=True)
@@ -1262,138 +1163,64 @@ class SpeculativeSession:
         except Exception:
             pass
 
-    def _submit(self, index: int) -> None:
-        """Dispatch one buffered unit; never raises (None future = lost)."""
-        executor = self.executor
-        batch = self._batch
-        unit = batch.units[index]
-        t0 = time.perf_counter()
-        c0 = time.thread_time()
-        tracer = obs_spans.current()
-        span_start = tracer.now() if tracer is not None else 0.0
-        future = None
-        try:
-            dispatcher = executor._dispatch_path
-            dispatch = executor._make_dispatch(
-                batch, index, pids=dispatcher.pids()
+    def _flush(self) -> None:
+        """Ship every buffered attempt (a failed ship leaves no future)."""
+        while self._deferred:
+            attempt = self._deferred.pop(0)
+            attempt.future = self.executor._ship(
+                self._batch, attempt.index, speculative=True
             )
-            future = dispatcher.submit(_record_task, dispatch)
-        except Exception:
-            future = None
-        finally:
-            executor.dispatch_wall += time.perf_counter() - t0
-            executor.dispatch_cpu += time.thread_time() - c0
-        if tracer is not None and future is not None:
-            tracer.add(
-                "dispatch",
-                obs_spans.CAT_WIRE,
-                span_start,
-                tracer.now(),
-                args={
-                    "position": unit.position,
-                    "bytes": batch.bytes_shipped[index],
-                    "speculative": True,
-                },
-            )
-        self._entries[unit.position]["future"] = future
 
     def push(self, unit) -> None:
         """Dispatch one speculative unit; non-blocking, never raises."""
         executor = self.executor
-        batch = self._batch
-        unit.faults = fault_injection.faults_for(
-            executor._fault_specs, "record", unit.position
-        )
-        index = len(batch.units)
-        batch.units.append(unit)
-        batch.bytes_shipped.append(0)
-        batch.blobs_sent.append(0)
-        batch.last_shipped.append(set())
+        executor._stamp_faults(unit)
+        attempt = _Attempt(self._batch, self._batch.add(unit))
+        self._attempts[unit.position] = attempt
         executor.speculation["dispatched"] += 1
-        self._entries[unit.position] = {"future": None, "index": index}
         # Fold finished speculations into the cache mirror *before*
         # building this dispatch: without this, every mid-segment
         # dispatch sees the tracker as it stood at segment start (acks
         # normally arrive at harvest) and re-ships the full blob set —
         # measured at ~100x the steady-state dispatch cost on
         # page-heavy workloads. ``done()`` keeps the sweep non-blocking.
-        for entry in self._entries.values():
-            future = entry["future"]
-            if future is not None and future.done():
-                self._settle(entry, timeout=0)
-        if not self._ready:
-            self._deferred.append(index)
-            return
-        while self._deferred:
-            self._submit(self._deferred.pop(0))
-        self._submit(index)
+        for other in self._attempts.values():
+            if other.future is not None and other.future.done():
+                _settle(other, timeout=0)
+        self._deferred.append(attempt)
+        if self._ready:
+            self._flush()
 
-    def _settle(self, entry: Dict[str, object], timeout) -> None:
-        """Resolve one future and apply its cache-mirror ack, exactly once.
+    def harvest(self, valid) -> Dict[int, _Attempt]:
+        """Settle every speculative attempt; return those to accept.
 
-        Leaves ``entry["outcome"] = (value, timing)`` with ``value`` of
-        ``None`` for anything discardable (crash, timeout, NeedBlobs,
-        failed submission); idempotent so the eager sweep in
-        :meth:`push` and the final pass in :meth:`harvest` compose.
+        ``valid(position, result)`` is the recorder's check that a
+        speculative result may stand in for the full-knowledge run. An
+        attempt that did not settle ok is counted ``discarded``, an ok
+        one ``valid`` rejects is counted ``invalidated``; either way the
+        position falls through to the full-knowledge dispatch.
         """
-        if "outcome" in entry:
-            return
-        executor, batch = self.executor, self._batch
-        future = entry["future"]
-        index = entry["index"]
-        value = timing = None
-        if future is not None:
-            try:
-                _, value, timing = future.result(timeout=timeout)
-            except Exception:
-                future.cancel()
-                value = None
-        if isinstance(value, NeedBlobs):
-            executor._apply_ack(
-                value.worker_pid,
-                batch.last_shipped[index],
-                set(value.evicted) | set(value.missing),
-            )
-            value = None
-        if value is not None and not isinstance(value, WorkerTaskError):
-            executor._apply_ack(
-                timing.worker_pid, batch.last_shipped[index], timing.evicted
-            )
-        entry["outcome"] = (value, timing)
-
-    def harvest(self) -> Dict[int, Tuple[object, UnitTiming]]:
-        """Wait for every speculative future; return the good outcomes.
-
-        Anything else — worker crash, timeout, NeedBlobs, task error,
-        failed submission — is discarded here and the position falls
-        through to the full-knowledge dispatch.
-        """
-        executor, batch = self.executor, self._batch
+        executor = self.executor
         self._warm.join()
         if self._ready:
-            while self._deferred:
-                self._submit(self._deferred.pop(0))
+            self._flush()
         self._deferred.clear()
-        outcomes: Dict[int, Tuple[object, UnitTiming]] = {}
+        accepted: Dict[int, _Attempt] = {}
         timeout = executor.unit_timeout or None
-        for position in sorted(self._entries):
-            entry = self._entries[position]
-            self._settle(entry, timeout)
-            value, timing = entry["outcome"]
-            index = entry["index"]
-            if value is None or isinstance(value, WorkerTaskError):
+        for position in sorted(self._attempts):
+            attempt = _settle(self._attempts[position], timeout)
+            if attempt.state != OK:
                 executor.speculation["discarded"] += 1
-                continue
-            timing.bytes_shipped = batch.bytes_shipped[index]
-            timing.blobs_sent = batch.blobs_sent[index]
-            outcomes[position] = (value, timing)
-        self._entries.clear()
-        return outcomes
+            elif valid(position, attempt.value):
+                accepted[position] = attempt
+            else:
+                executor.speculation["invalidated"] += 1
+        self._attempts.clear()
+        return accepted
 
     def close(self) -> None:
         """Abandon whatever is still in flight (error-path hygiene)."""
-        for entry in self._entries.values():
-            future = entry["future"]
-            if future is not None:
-                future.cancel()
-        self._entries.clear()
+        for attempt in self._attempts.values():
+            if attempt.future is not None:
+                attempt.future.cancel()
+        self._attempts.clear()

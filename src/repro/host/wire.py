@@ -139,6 +139,9 @@ class NeedBlobs:
 class RecordEpochUnit:
     """One epoch of a segment, packaged for a worker process."""
 
+    #: unit kind (a class constant, not a field: it never crosses the wire)
+    kind = "record"
+
     #: position within the segment (0-based; orders the merge)
     position: int
     #: global epoch index (naming/diagnostics only)
@@ -176,6 +179,8 @@ class RecordEpochUnit:
 @dataclass
 class ReplayEpochUnit:
     """One committed epoch of a recording, packaged for parallel replay."""
+
+    kind = "replay"
 
     #: position within the recording (0-based; orders the merge)
     position: int

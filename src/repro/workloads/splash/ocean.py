@@ -26,9 +26,9 @@ def _model(cells, iterations):
     n = len(current)
     for _ in range(iterations):
         current = [
-            wrap_word(
-                (current[(i - 1) % n] + current[i] * 2 + current[(i + 1) % n]) >> 1
-            )
+            # The guest wraps the stencil sum to 64 bits before ``shri``.
+            wrap_word(current[(i - 1) % n] + current[i] * 2 + current[(i + 1) % n])
+            >> 1
             for i in range(n)
         ]
     return current

@@ -69,6 +69,14 @@ def _assert_bit_identical(faulted, serial):
     assert faulted.recording.final_digest == serial.recording.final_digest
 
 
+def _assert_units_counted(result):
+    """Every committed unit lands in the unit histograms exactly once,
+    whether it was dispatched fresh, accepted from speculation, or run
+    by the serial fallback."""
+    assert result.metrics.histogram("unit_wall_s").count == result.host["units"]
+    assert result.metrics.histogram("unit_bytes").count == result.host["units"]
+
+
 # ----------------------------------------------------------------------
 # Pool management regressions
 # ----------------------------------------------------------------------
@@ -198,21 +206,24 @@ def test_default_unit_timeout_env(monkeypatch):
 def test_record_faults_bit_identical(monkeypatch, spec, counter, expect_fallback):
     _, _, serial = _record("fft", 2, jobs=1)
     monkeypatch.setenv("REPRO_FAULT", spec)
-    _, _, faulted = _record("fft", 2, jobs=4)
-    _assert_bit_identical(faulted, serial)
-    counts = faulted.host["faults"]
-    if counter is None:
-        assert not any(counts.values())
-    else:
-        assert counts[counter] >= 1
-        assert counts["retries"] >= 1
-        if expect_fallback:
-            assert counts["serial_fallbacks"] >= 1
-        assert faulted.host["fault_events"], "events missing from accounting"
-        assert all(
-            set(event) == {"kind", "position", "attempt", "error"}
-            for event in faulted.host["fault_events"]
-        )
+    for pipeline in ("1", "0"):
+        monkeypatch.setenv("REPRO_PIPELINE", pipeline)
+        _, _, faulted = _record("fft", 2, jobs=4)
+        _assert_bit_identical(faulted, serial)
+        _assert_units_counted(faulted)
+        counts = faulted.host["faults"]
+        if counter is None:
+            assert not any(counts.values())
+        else:
+            assert counts[counter] >= 1
+            assert counts["retries"] >= 1
+            if expect_fallback:
+                assert counts["serial_fallbacks"] >= 1
+            assert faulted.host["fault_events"], "events missing from accounting"
+            assert all(
+                set(event) == {"kind", "position", "attempt", "error"}
+                for event in faulted.host["fault_events"]
+            )
 
 
 def test_record_hang_contained_by_unit_timeout(monkeypatch):
@@ -284,16 +295,26 @@ def test_record_fault_with_divergence_and_recovery(monkeypatch, tmp_path):
 # cuts proved stale. Either way the recording must stay byte-identical
 # to jobs=1.
 # ----------------------------------------------------------------------
-def test_pipelined_clean_run_accepts_speculation():
-    """No faults: speculative results are accepted, never re-run."""
+def test_pipelined_clean_run_accepts_speculation(monkeypatch):
+    """No faults: speculative results are accepted, never re-run.
+
+    The pipeline-off pass is the control: nothing speculates, and the
+    unit histograms still count every committed unit.
+    """
     _, _, serial = _record("fft", 2, jobs=1)
-    _, _, parallel = _record("fft", 2, jobs=4)
-    _assert_bit_identical(parallel, serial)
-    spec = parallel.host["speculation"]
-    assert spec["dispatched"] >= 1
-    assert spec["accepted"] >= 1
-    assert spec["discarded"] == 0
-    assert not any(parallel.host["faults"].values())
+    for pipeline in ("1", "0"):
+        monkeypatch.setenv("REPRO_PIPELINE", pipeline)
+        _, _, parallel = _record("fft", 2, jobs=4)
+        _assert_bit_identical(parallel, serial)
+        _assert_units_counted(parallel)
+        spec = parallel.host["speculation"]
+        if pipeline == "1":
+            assert spec["dispatched"] >= 1
+            assert spec["accepted"] >= 1
+        else:
+            assert spec["dispatched"] == 0
+        assert spec["discarded"] == 0
+        assert not any(parallel.host["faults"].values())
 
 
 @pytest.mark.parametrize(
@@ -310,17 +331,24 @@ def test_pipelined_faults_discard_speculation(monkeypatch, spec, timeout, counte
     The fault fires on *every* dispatch of the position: the speculative
     attempt dies (silently discarded), then the batch attempts die and
     the retry/serial-fallback containment finishes the unit — recording
-    byte-identical to jobs=1 throughout.
+    byte-identical to jobs=1 throughout. With the pipeline off only the
+    batch containment runs.
     """
     _, _, serial = _record("fft", 2, jobs=1)
     monkeypatch.setenv("REPRO_FAULT", spec)
     overrides = {"unit_timeout": timeout} if timeout is not None else {}
-    _, _, faulted = _record("fft", 2, jobs=4, **overrides)
-    _assert_bit_identical(faulted, serial)
-    assert faulted.host["speculation"]["discarded"] >= 1
-    counts = faulted.host["faults"]
-    assert counts[counter] >= 1, "batch path never saw the fault"
-    assert counts["serial_fallbacks"] >= 1
+    for pipeline in ("1", "0"):
+        monkeypatch.setenv("REPRO_PIPELINE", pipeline)
+        _, _, faulted = _record("fft", 2, jobs=4, **overrides)
+        _assert_bit_identical(faulted, serial)
+        _assert_units_counted(faulted)
+        if pipeline == "1":
+            assert faulted.host["speculation"]["discarded"] >= 1
+        else:
+            assert faulted.host["speculation"]["dispatched"] == 0
+        counts = faulted.host["faults"]
+        assert counts[counter] >= 1, "batch path never saw the fault"
+        assert counts["serial_fallbacks"] >= 1
 
 
 def test_pipelined_speculative_crash_only_is_invisible(monkeypatch, tmp_path):
@@ -389,6 +417,7 @@ def test_replay_parallel_faults_bit_identical(monkeypatch, spec, timeout, counte
     assert faulted.total_cycles == serial.total_cycles
     assert faulted.makespan == serial.makespan
     assert faulted.epochs_replayed == serial.epochs_replayed
+    _assert_units_counted(faulted)
     counts = faulted.host["faults"]
     assert counts[counter] >= 1
     assert counts["serial_fallbacks"] >= 1

@@ -50,6 +50,15 @@ class TestRegistry:
                     raise NotImplementedError
 
 
+@pytest.mark.parametrize("scale", [23, 48])
+def test_ocean_validates_when_stencil_sums_overflow(scale):
+    """From scale 23 the stencil sum ``l + 2c + r`` exceeds 64 bits; the
+    validator's model must wrap it before the shift, as the guest does."""
+    inst = build_workload("ocean", workers=2, scale=scale, seed=0)
+    result = run_native(inst.image, inst.setup, MachineConfig(cores=2))
+    assert inst.validate(result.kernel)
+
+
 @pytest.mark.parametrize("name", workload_names())
 class TestEveryWorkload:
     def test_native_run_validates(self, name):
